@@ -3,7 +3,7 @@
 // PEs, optionally with the permanent-cell dynamic load balancing method
 // (DLB-DDM). Each PE runs as a goroutine over the message-passing substrate
 // in internal/comm; every per-step exchange (loads, DLB decisions, cell
-// transfers, particle migration, halo pull) involves only the PE's 8 torus
+// transfers, particle migration, halo push) involves only the PE's 8 torus
 // neighbors, exactly as on the T3E.
 //
 // Per time step each PE executes:
@@ -14,8 +14,9 @@
 //  2. Velocity-Verlet half kick and drift.
 //  3. Migration: particles that drifted into cells hosted elsewhere are
 //     sent to their new host.
-//  4. Halo pull: request the 26-neighborhood cell contents this PE does not
-//     host, answer the neighbors' requests, compute forces.
+//  4. Halo push: send each neighbor the positions of the hosted cells its
+//     26-neighborhood needs (a plan derived from the ledger, cached until
+//     the hosting changes), stage what the neighbors sent, compute forces.
 //  5. Second half kick; velocity rescaling to Tref every RescaleEvery steps.
 //
 // The force-computation load that drives both the DLB decisions and the

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,7 +31,6 @@ const (
 	tagDecision
 	tagTransfer
 	tagMigrate
-	tagNeed
 	tagHalo
 )
 
@@ -39,10 +40,13 @@ const (
 	cmdSnapshot = -2
 )
 
-// cellBlock is one cell's particle positions in a halo response.
-type cellBlock struct {
-	Cell int
-	Pos  []vec.V
+// haloMsg is one PE's halo push to one neighbor: the positions of the
+// planned cells, flat, with Pos[Off[k]:Off[k+1]] belonging to Cells[k].
+// Fields are exported for the TCP transport's gob codec.
+type haloMsg struct {
+	Cells []int
+	Off   []int32
+	Pos   []vec.V
 }
 
 // peRecord is the per-step census a PE contributes to the global stats.
@@ -74,6 +78,19 @@ type pe struct {
 	dirty  bool              // hosted column set changed; refresh cl topology
 	cells  []int             // scratch for the hosted cell list
 	colPop map[int]int       // hosted column -> particle count
+
+	// Per-neighbor exchange state, index-aligned with nbs and reused across
+	// steps so the exchange allocates nothing in steady state.
+	planStale bool                  // hosted set or ledger changed since planHalo
+	haloSend  [][]int               // hosted cells each neighbor needs, ascending
+	haloRecv  [][]int               // ghost cells each neighbor hosts, ascending
+	haloOut   []*haloMsg            // halo push buffers
+	ghostNb   []int                 // planHalo scratch: per ghost slot, index into nbs
+	slotGhost []int                 // planHalo scratch for SlotGhosts
+	migOut    [][]particle.One      // migration send buffers
+	nbLoad    []float64             // neighbor loads of the current epoch
+	nbDec     [][]dlb.Decision      // neighbor decisions of the current epoch
+	colLoad   func(col int) float64 // Observation.ColLoad, built once
 
 	lastWork   float64 // pair evaluations of last force computation
 	lastWall   float64 // wall seconds of last force computation
@@ -121,6 +138,16 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ho
 	}
 	p.nbs = append(p.nbs, layout.T.UniqueNeighbors(c.Rank())...)
 	sort.Ints(p.nbs)
+	n := len(p.nbs)
+	p.planStale = true
+	p.haloSend, p.haloRecv = make([][]int, n), make([][]int, n)
+	p.haloOut = make([]*haloMsg, n)
+	for k := range p.haloOut {
+		p.haloOut[k] = &haloMsg{}
+	}
+	p.migOut = make([][]particle.One, n)
+	p.nbLoad, p.nbDec = make([]float64, n), make([][]dlb.Decision, n)
+	p.colLoad = func(col int) float64 { return float64(p.colPop[col]) }
 	if cfg.Metrics {
 		p.tm = &metrics.Timer{}
 	}
@@ -364,18 +391,19 @@ func (p *pe) observe() balance.Observation {
 		return obs
 	}
 
-	// Step 1: exchange last-step loads with the 8 neighbors.
+	// Step 1: exchange last-step loads with the 8 neighbors. The load is
+	// boxed once for all sends.
+	load := any(p.load())
 	for _, nb := range p.nbs {
-		p.send(metrics.PhaseDLBDecide, nb, tagLoad, p.load(), 0)
+		p.send(metrics.PhaseDLBDecide, nb, tagLoad, load, 0)
 	}
-	nbLoad := make(map[int]float64, len(p.nbs))
-	for _, nb := range p.nbs {
-		nbLoad[nb] = p.c.Recv(nb, tagLoad).(float64)
+	for k, nb := range p.nbs {
+		p.nbLoad[k] = p.c.Recv(nb, tagLoad).(float64)
 	}
 	for k, off := range topology.Offsets8 {
-		obs.Neighbor[k] = nbLoad[p.layout.T.Rank(pi+off.DI, pj+off.DJ)]
+		obs.Neighbor[k] = p.nbLoad[p.nbIndex(p.layout.T.Rank(pi+off.DI, pj+off.DJ))]
 	}
-	obs.ColLoad = func(col int) float64 { return float64(p.colPop[col]) }
+	obs.ColLoad = p.colLoad
 	return obs
 }
 
@@ -399,23 +427,27 @@ func (p *pe) balanceStep() {
 			p.c.Rank(), p.cfg.Balancer.Name(), len(ds), maxMoves))
 	}
 
-	// Broadcast my decisions; apply everyone's.
+	// Broadcast my decisions; apply everyone's. Any applied decision, mine
+	// or a neighbor's, can change the host of a halo cell, so it stales
+	// the halo plan.
+	dsMsg := any(ds)
 	for _, nb := range p.nbs {
-		p.send(metrics.PhaseDLBDecide, nb, tagDecision, ds, 0)
+		p.send(metrics.PhaseDLBDecide, nb, tagDecision, dsMsg, 0)
 	}
 	for _, d := range ds {
 		if err := p.lg.Apply(p.c.Rank(), d); err != nil {
 			panic(fmt.Sprintf("core: rank %d self-apply: %v", p.c.Rank(), err))
 		}
+		p.planStale = true
 	}
-	nbDecisions := make(map[int][]dlb.Decision, len(p.nbs))
-	for _, nb := range p.nbs {
+	for k, nb := range p.nbs {
 		nds := p.c.Recv(nb, tagDecision).([]dlb.Decision)
-		nbDecisions[nb] = nds
+		p.nbDec[k] = nds
 		for _, nd := range nds {
 			if err := p.lg.Apply(nb, nd); err != nil {
 				panic(fmt.Sprintf("core: rank %d applying decision of %d: %v", p.c.Rank(), nb, err))
 			}
+			p.planStale = true
 		}
 	}
 
@@ -441,8 +473,8 @@ func (p *pe) balanceStep() {
 	// Per-(source, tag) FIFO ordering matches the sender's loop order, so
 	// multiple inbound transfers from one neighbor arrive in its decision
 	// order.
-	for _, nb := range p.nbs {
-		for _, nd := range nbDecisions[nb] {
+	for k, nb := range p.nbs {
+		for _, nd := range p.nbDec[k] {
 			if nd.Dest != p.c.Rank() {
 				continue
 			}
@@ -500,9 +532,15 @@ func (s byID) Swap(a, b int) {
 // One drift moves a particle at most into a neighboring cell, whose host is
 // always within the 8-neighborhood (the permanent-cell closure invariant);
 // anything farther means the time step is too large for the cell size.
+//
+// The send buffers are reused: a neighbor has consumed this step's message
+// before it sends its halo push, which this PE receives before it refills
+// the buffer next step.
 func (p *pe) migrate() {
 	g := p.cfg.Grid
-	out := make(map[int][]particle.One)
+	for k := range p.migOut {
+		p.migOut[k] = p.migOut[k][:0]
+	}
 	for i := 0; i < p.set.Len(); {
 		col := g.ColumnOf(g.CellOf(p.set.Pos[i]))
 		host, err := p.lg.HostOf(col)
@@ -510,18 +548,19 @@ func (p *pe) migrate() {
 			panic(fmt.Sprintf("core: rank %d migrate: %v (time step too large for cell size?)", p.c.Rank(), err))
 		}
 		if host != p.c.Rank() {
-			if !containsInt(p.nbs, host) {
+			k := p.nbIndex(host)
+			if k < 0 {
 				panic(fmt.Sprintf("core: rank %d: particle migrating to non-neighbor %d", p.c.Rank(), host))
 			}
-			out[host] = append(out[host], p.set.Extract(i))
+			p.migOut[k] = append(p.migOut[k], p.set.Extract(i))
 			p.set.RemoveSwap(i)
 			continue
 		}
 		i++
 	}
-	for _, nb := range p.nbs {
-		msg := out[nb]
-		sort.Slice(msg, func(a, b int) bool { return msg[a].ID < msg[b].ID })
+	for k, nb := range p.nbs {
+		msg := p.migOut[k]
+		slices.SortFunc(msg, compareID)
 		p.send(metrics.PhaseMigrate, nb, tagMigrate, msg, int64(len(msg))*48)
 	}
 	for _, nb := range p.nbs {
@@ -544,6 +583,7 @@ func (p *pe) rebuild() {
 		}
 		p.cl.SetHosted(p.cells)
 		p.dirty = false
+		p.planStale = true
 	}
 	if bad := p.cl.Bin(p.set.Pos); bad >= 0 {
 		panic(fmt.Sprintf("core: rank %d holds particle %d in unhosted cell %d",
@@ -555,49 +595,81 @@ func (p *pe) rebuild() {
 	}
 }
 
-// haloExchange pulls the particle positions of every unhosted cell adjacent
-// to a hosted cell from its current host (need-list protocol: one request
-// and one response message per neighbor) and stages them into the kernel's
-// ghost arena.
-func (p *pe) haloExchange() {
+// planHalo derives the one-way halo plan from the ledger and the kernel's
+// ghost set. Receive list k holds the ghost cells nbs[k] hosts; send list k
+// holds this PE's hosted cells that neighbor a cell nbs[k] hosts, found
+// through the kernel's stencils. Neighbors26 is symmetric, so send list k
+// is exactly nbs[k]'s receive list from this PE: the need list the
+// neighbor would otherwise have to request. Both lists are ascending.
+func (p *pe) planHalo() {
 	g := p.cfg.Grid
-	need := make(map[int][]int) // host -> cells (ascending: ghost list order)
+	for k := range p.nbs {
+		p.haloSend[k] = p.haloSend[k][:0]
+		p.haloRecv[k] = p.haloRecv[k][:0]
+	}
+	p.ghostNb = p.ghostNb[:0]
 	for _, nc := range p.cl.GhostCells() {
 		host, err := p.lg.HostOf(g.ColumnOf(nc))
 		if err != nil {
 			panic(fmt.Sprintf("core: rank %d halo: %v", p.c.Rank(), err))
 		}
-		if !containsInt(p.nbs, host) {
+		k := p.nbIndex(host)
+		if k < 0 {
 			panic(fmt.Sprintf("core: rank %d: halo cell %d hosted by non-neighbor %d", p.c.Rank(), nc, host))
 		}
-		need[host] = append(need[host], nc)
+		p.haloRecv[k] = append(p.haloRecv[k], nc)
+		p.ghostNb = append(p.ghostNb, k)
 	}
-	for _, nb := range p.nbs {
-		p.send(metrics.PhaseHalo, nb, tagNeed, need[nb], 0)
-	}
-	// Answer the neighbors' requests.
-	for _, nb := range p.nbs {
-		req := p.c.Recv(nb, tagNeed).([]int)
-		resp := make([]cellBlock, 0, len(req))
-		var bytes int64
-		for _, cell := range req {
-			idx, ok := p.cl.CellParticles(cell)
-			if !ok {
-				panic(fmt.Sprintf("core: rank %d asked for cell %d it does not host (by %d)", p.c.Rank(), cell, nb))
+	for s := 0; s < p.cl.NumHosted(); s++ {
+		cell := p.cl.SlotCell(s)
+		p.slotGhost = p.cl.SlotGhosts(s, p.slotGhost[:0])
+		for _, gs := range p.slotGhost {
+			k := p.ghostNb[gs]
+			if n := len(p.haloSend[k]); n == 0 || p.haloSend[k][n-1] != cell {
+				p.haloSend[k] = append(p.haloSend[k], cell)
 			}
-			blk := cellBlock{Cell: cell, Pos: make([]vec.V, len(idx))}
-			for k, i := range idx {
-				blk.Pos[k] = p.set.Pos[i]
-			}
-			bytes += int64(len(idx)) * 24
-			resp = append(resp, blk)
 		}
-		p.send(metrics.PhaseHalo, nb, tagHalo, resp, bytes)
+	}
+	p.planStale = false
+}
+
+// haloExchange pushes the positions of the planned cells to every neighbor
+// (one message each, no request round) and stages what the neighbors
+// pushed into the kernel's ghost arena. A send list naming a cell this PE
+// does not host, or a message whose cells differ from the receive list,
+// is a protocol violation.
+//
+// The push buffers are reused across steps. On the in-process transport a
+// receiver holds the sender's buffer until SealGhosts copies it out; it
+// then sends its next migration message, which the sender receives before
+// it refills the buffer. The TCP transport encodes payloads at send time.
+func (p *pe) haloExchange() {
+	if p.planStale {
+		p.planHalo()
+	}
+	for k, nb := range p.nbs {
+		msg := p.haloOut[k]
+		msg.Cells = p.haloSend[k]
+		msg.Off = append(msg.Off[:0], 0)
+		msg.Pos = msg.Pos[:0]
+		for _, cell := range msg.Cells {
+			pos, ok := p.cl.CellPositions(cell)
+			if !ok {
+				panic(fmt.Sprintf("core: rank %d: halo plan for %d names cell %d it does not host", p.c.Rank(), nb, cell))
+			}
+			msg.Pos = append(msg.Pos, pos...)
+			msg.Off = append(msg.Off, int32(len(msg.Pos)))
+		}
+		p.send(metrics.PhaseHalo, nb, tagHalo, msg, int64(len(msg.Pos))*24)
 	}
 	p.cl.ClearGhosts()
-	for _, nb := range p.nbs {
-		for _, blk := range p.c.Recv(nb, tagHalo).([]cellBlock) {
-			p.cl.StageGhost(blk.Cell, blk.Pos)
+	for k, nb := range p.nbs {
+		msg := p.c.Recv(nb, tagHalo).(*haloMsg)
+		if !slices.Equal(msg.Cells, p.haloRecv[k]) {
+			panic(fmt.Sprintf("core: rank %d: halo from %d carries cells %v, plan expects %v", p.c.Rank(), nb, msg.Cells, p.haloRecv[k]))
+		}
+		for i, cell := range msg.Cells {
+			p.cl.StageGhost(cell, msg.Pos[msg.Off[i]:msg.Off[i+1]])
 		}
 	}
 	p.cl.SealGhosts()
@@ -779,7 +851,15 @@ func (p *pe) gatherFinal(res *Result) {
 	res.Final = final
 }
 
-func containsInt(sorted []int, v int) bool {
-	i := sort.SearchInts(sorted, v)
-	return i < len(sorted) && sorted[i] == v
+// compareID orders particles by ID (a static comparator: no closure).
+func compareID(a, b particle.One) int { return cmp.Compare(a.ID, b.ID) }
+
+// nbIndex returns the index of rank in nbs, or -1 if it is not a neighbor.
+func (p *pe) nbIndex(rank int) int {
+	for k, nb := range p.nbs {
+		if nb == rank {
+			return k
+		}
+	}
+	return -1
 }

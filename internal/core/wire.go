@@ -18,10 +18,10 @@ import (
 //	tagDecision  []dlb.Decision
 //	tagTransfer  colTransfer
 //	tagMigrate   []particle.One
-//	tagNeed      []int
-//	tagHalo      []cellBlock
+//	tagHalo      *haloMsg          (one plan-driven push per neighbor)
 //	collectives  loadCensus, peRecord, []particle.One (gatherFinal),
-//	             and []any (the broadcast leg of Allgather)
+//	             []int (Verify's hosted-column census) and []any (the
+//	             broadcast leg of Allgather)
 func init() {
 	gob.Register([]int(nil))
 	gob.Register([]any(nil))
@@ -29,7 +29,7 @@ func init() {
 	gob.Register([]dlb.Decision(nil))
 	gob.Register([]particle.One(nil))
 	gob.Register(colTransfer{})
-	gob.Register([]cellBlock(nil))
+	gob.Register(&haloMsg{})
 	gob.Register(loadCensus{})
 	gob.Register(peRecord{})
 }

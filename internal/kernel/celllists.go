@@ -196,22 +196,19 @@ func (cl *CellLists) SetHosted(cells []int) {
 	cl.stShift = cl.stShift[:0]
 	cl.stStart = append(cl.stStart[:0], 0)
 	g := cl.g
-	seen := make(map[int]bool, 27)
+	var seen [26]int // this cell's neighbors so far: a linear scan, no map
 	for _, c := range cl.cells {
 		ix, iy, iz := g.Coords(c)
-		clear(seen)
-		seen[c] = true
+		ns := 0
 		for dz := -1; dz <= 1; dz++ {
 			for dy := -1; dy <= 1; dy++ {
 				for dx := -1; dx <= 1; dx++ {
-					if dx == 0 && dy == 0 && dz == 0 {
-						continue
-					}
 					nc := g.CellOfCoords(ix+dx, iy+dy, iz+dz)
-					if seen[nc] {
+					if nc == c || slices.Contains(seen[:ns], nc) {
 						continue
 					}
-					seen[nc] = true
+					seen[ns] = nc
+					ns++
 					v := cl.slotOf[nc]
 					if v >= 0 && nc <= c {
 						continue // hosted-hosted pair owned by the lower cell
@@ -287,6 +284,18 @@ func (cl *CellLists) HostedCells() []int { return cl.cells }
 // positions for, ascending. The slice is owned by the CellLists.
 func (cl *CellLists) GhostCells() []int { return cl.ghostCells }
 
+// SlotGhosts appends to dst the ghost slots (indices into GhostCells) that
+// neighbor hosted slot s, in stencil order, each once, and returns the
+// extended slice. The halo plan derives its send lists from it.
+func (cl *CellLists) SlotGhosts(s int, dst []int) []int {
+	for _, e := range cl.stencil[cl.stStart[s]:cl.stStart[s+1]] {
+		if e < 0 {
+			dst = append(dst, int(-1-e))
+		}
+	}
+	return dst
+}
+
 // SlotCell returns the cell id of hosted slot s.
 func (cl *CellLists) SlotCell(s int) int { return cl.cells[s] }
 
@@ -309,6 +318,18 @@ func (cl *CellLists) CellParticles(cell int) ([]int32, bool) {
 		return nil, false
 	}
 	return cl.SlotParticles(int(v)), true
+}
+
+// CellPositions returns the positions of the given hosted cell's particles
+// in CellParticles order as of the last Bin, or nil (and false) if the cell
+// is not hosted. The slice aliases internal storage valid until the next
+// Bin.
+func (cl *CellLists) CellPositions(cell int) ([]vec.V, bool) {
+	v := cl.slotOf[cell]
+	if v < 0 {
+		return nil, false
+	}
+	return cl.ppos[cl.start[v]:cl.start[v+1]], true
 }
 
 // Bin rebuilds the CSR cell list from the given positions. Particle indices

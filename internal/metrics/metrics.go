@@ -17,7 +17,7 @@
 //     rank 0 (or in the driver) at statistics cadence; they may allocate.
 //
 // Phase msg/byte counters cover the point-to-point protocol traffic a PE
-// originates (loads, decisions, transfers, migration, halo need/response).
+// originates (loads, decisions, transfers, migration, halo push).
 // Collective traffic (reductions, gathers) is accounted in the whole-run
 // comm totals, not per phase.
 package metrics

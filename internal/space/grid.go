@@ -3,6 +3,7 @@ package space
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"permcell/internal/vec"
 )
@@ -118,20 +119,17 @@ func clampCell(i, n int) int {
 // Neighbors26 appends to dst the flat indices of the (up to) 26 distinct
 // cells surrounding idx under periodic wrapping, excluding idx itself, and
 // returns the extended slice. When a grid dimension is small (< 3), wrapped
-// neighbor coordinates collide; duplicates and self are removed so force
-// engines never double count.
+// neighbor coordinates collide; duplicates and self are removed (first
+// occurrence kept, in dz, dy, dx ascending order) so force engines never
+// double count. The dedup scans the at most 26 entries already appended, so
+// the call performs no allocation when dst has room.
 func (g Grid) Neighbors26(idx int, dst []int) []int {
 	ix, iy, iz := g.Coords(idx)
-	seen := map[int]bool{idx: true}
+	base := len(dst)
 	for dz := -1; dz <= 1; dz++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				n := g.CellOfCoords(ix+dx, iy+dy, iz+dz)
-				if !seen[n] {
-					seen[n] = true
+				if n := g.CellOfCoords(ix+dx, iy+dy, iz+dz); n != idx && !slices.Contains(dst[base:], n) {
 					dst = append(dst, n)
 				}
 			}
@@ -167,17 +165,14 @@ func (g Grid) CellsInColumn(col int, dst []int) []int {
 
 // ColumnNeighbors8 appends the (up to) 8 distinct neighboring columns of col
 // under periodic wrapping in the cross-section plane, excluding col itself.
+// Like Neighbors26 it dedups by scanning the entries already appended and
+// performs no allocation when dst has room.
 func (g Grid) ColumnNeighbors8(col int, dst []int) []int {
 	ix, iy := g.ColumnCoords(col)
-	seen := map[int]bool{col: true}
+	base := len(dst)
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			n := g.ColumnIndex(mod(ix+dx, g.Nx), mod(iy+dy, g.Ny))
-			if !seen[n] {
-				seen[n] = true
+			if n := g.ColumnIndex(mod(ix+dx, g.Nx), mod(iy+dy, g.Ny)); n != col && !slices.Contains(dst[base:], n) {
 				dst = append(dst, n)
 			}
 		}
